@@ -148,6 +148,10 @@ SHM_MIN_BYTES = 4096
 #: must never hang interpreter exit
 SHUTDOWN_GRACE = 2.0
 
+#: how long each escalation step (``terminate()``, then ``kill()``, then
+#: joining the executor's management thread) may wait past the grace
+ESCALATION_WAIT = 0.5
+
 
 def _worker_config(config: DispatchConfig) -> DispatchConfig:
     """The parent's tuning with sharding turned off.
@@ -275,38 +279,71 @@ def shutdown_pools(grace: float = SHUTDOWN_GRACE) -> None:
     with _POOL_LOCK:
         pools = dict(_POOLS)
         _POOLS.clear()
+    deadline = time.monotonic() + grace
     for (backend, _workers), pool in pools.items():
-        # grab the worker handles *before* shutdown() drops its
-        # ``_processes`` dict, or there would be nothing to escalate on
+        # grab the worker handles and the management thread *before*
+        # shutdown() drops them, or there would be nothing to escalate on
         procs = getattr(pool, "_processes", None)
         processes = list(procs.values()) if isinstance(procs, dict) else []
+        manager = getattr(pool, "_executor_manager_thread", None)
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
-        if backend != "process":
-            continue
-        deadline = time.monotonic() + grace
-        for proc in processes:
+        if backend == "process":
+            _stop_workers(processes, manager, deadline)
+
+
+def _stop_workers(processes: List[Any], manager: Optional[threading.Thread],
+                  deadline: float) -> None:
+    """Wait for ``processes`` until ``deadline``, then terminate, then
+    kill the survivors, each step bounded by :data:`ESCALATION_WAIT`.
+
+    After ``shutdown(wait=False)`` the executor's management thread
+    joins — and so reaps — the very same workers.  ``is_alive()`` and
+    ``join()`` go through ``waitpid``, which loses that race: the
+    losing caller sees ``ECHILD`` and reports a dead worker as alive
+    (or returns before the kill).  Liveness is therefore read from
+    each worker's sentinel pipe, which turns readable exactly when the
+    process exits, no matter who reaps it.  The management thread is
+    joined last, so every worker's exit status is settled on return.
+    """
+    live = _await_exit(processes, deadline)
+    for escalate in ("terminate", "kill"):
+        if not live:
+            break
+        for proc in live:
             try:
-                proc.join(max(0.0, deadline - time.monotonic()))
+                getattr(proc, escalate)()
             except Exception:
                 pass
-        for proc in processes:
-            if proc.is_alive():
-                try:
-                    proc.terminate()
-                except Exception:
-                    pass
-        for proc in processes:
-            if proc.is_alive():
-                try:
-                    proc.join(0.5)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(0.5)
-                except Exception:
-                    pass
+        live = _await_exit(live, time.monotonic() + ESCALATION_WAIT)
+    if manager is not None:
+        manager.join(ESCALATION_WAIT)
+    for proc in processes:
+        try:
+            proc.join(0)  # reap whatever the management thread left
+        except Exception:
+            pass
+
+
+def _await_exit(processes: List[Any], deadline: float) -> List[Any]:
+    """The processes still running at ``deadline`` (sentinel-based)."""
+    from multiprocessing.connection import wait
+
+    pending = {}
+    for proc in processes:
+        try:
+            pending[proc.sentinel] = proc
+        except ValueError:  # closed or never started: nothing to stop
+            pass
+    while pending:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            break
+        for sentinel in wait(list(pending), remaining):
+            del pending[sentinel]
+    return list(pending.values())
 
 
 def _collect(futures: Sequence[Future], cancel: threading.Event,

@@ -11,7 +11,8 @@ answering one query:
   timings, from :class:`~repro.optimizer.engine.PhaseStats`);
 * the evaluator counters (:class:`~repro.obs.metrics.EvalMetrics`);
 * the session's plan-cache counters (hits/misses/evictions/
-  invalidations — see ``docs/PLAN_CACHE.md``), when a cache is in play.
+  invalidations/front hits — see ``docs/PLAN_CACHE.md``), when a cache
+  is in play.
 
 ``render()`` produces the REPL's ``:profile`` text; ``to_dict()`` is the
 JSON schema (documented in ``docs/OBSERVABILITY.md``) that
@@ -132,7 +133,8 @@ def _render_cache(cache: Dict[str, Any]) -> str:
             f"misses {cache.get('misses', 0)}  "
             f"evictions {cache.get('evictions', 0)}  "
             f"invalidations {cache.get('invalidations', 0)}  "
-            f"replans {cache.get('replans', 0)}")
+            f"replans {cache.get('replans', 0)}  "
+            f"front_hits {cache.get('front_hits', 0)}")
 
 
 def _render_cost(cost: Dict[str, Any]) -> str:

@@ -19,9 +19,8 @@ heuristic into the three layers a real cost-based optimizer needs:
 
 :class:`CostEstimator`
     The unit-cost walk (loops multiply their body by the estimated
-    source cardinality), memoized per AST node through a bounded
-    :class:`~repro.core.fastpath.NodeCache` — shared-DAG subexpressions
-    are costed once instead of exponentially.
+    source cardinality), memoized per AST node within one walk —
+    shared-DAG subexpressions are costed once instead of exponentially.
 
 :class:`CostModel`
     The session-wide model: per-operator coefficients calibrated online
@@ -46,10 +45,9 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core import ast
-from repro.core.fastpath import NodeCache
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 
@@ -85,10 +83,6 @@ DEFAULT_REPLAN_FACTOR = 8.0
 #: unit model does not charge, and re-planning it cannot pay for the
 #: recompile anyway
 DEFAULT_MIN_REPLAN_SECONDS = 1e-3
-
-#: bound on the persistent per-model estimate memo (a multiple of the
-#: plan cache's 128 entries: one cached plan references many nodes)
-ESTIMATOR_CACHE_CAPACITY = 4096
 
 #: loop constructs whose body cost is multiplied by the source size
 _LOOPS = (ast.Ext, ast.Sum, ast.BagExt, ast.ExtRank, ast.BagExtRank)
@@ -183,59 +177,64 @@ class CostEstimator:
     Loop bodies are charged the estimated source cardinality (or
     ``assumed`` when unknown).  This deliberately over-counts
     tabulations, which is exactly the β^p/η^p intuition: materialization
-    is expensive.  Results are memoized by node identity through a
-    bounded :class:`~repro.core.fastpath.NodeCache`, so shared-DAG
-    subexpressions (the same blow-up family PR 1 defused in eval) are
-    costed once.
+    is expensive.  Within one :meth:`cost` walk results are memoized by
+    node identity, so shared-DAG subexpressions (the ``e + e`` tower
+    blow-up family) are costed once.  The memo dies with the walk:
+    a session-long model must not keep the nodes of dropped plans — nor
+    the ``Const`` values of rebound vals they wrap — alive.
     """
 
-    def __init__(self, assumed: int = ASSUMED_CARDINALITY,
-                 capacity: int = ESTIMATOR_CACHE_CAPACITY):
+    def __init__(self, assumed: int = ASSUMED_CARDINALITY):
         self.assumed = assumed
         self.cards = CardinalityEstimator()
-        self._memo = NodeCache(capacity)
 
     def cost(self, expr: ast.Expr) -> int:
-        """The memoized unit-cost estimate of evaluating ``expr`` once."""
-        return self._memo.get(expr, self._cost)
+        """The unit-cost estimate of evaluating ``expr`` once."""
+        memo: Dict[int, int] = {}
 
-    def _cost(self, expr: ast.Expr) -> int:
+        def walk(node: ast.Expr) -> int:
+            units = memo.get(id(node))
+            if units is None:
+                units = memo[id(node)] = self._cost(node, walk)
+            return units
+
+        return walk(expr)
+
+    def _cost(self, expr: ast.Expr, walk: Callable[[ast.Expr], int]) -> int:
         assumed = self.assumed
         if isinstance(expr, _LOOPS):
             size = self.cards.cardinality(expr.source)
             if size is None:
                 size = assumed
-            return (1 + self.cost(expr.source)
-                    + size * self.cost(expr.body))
+            return 1 + walk(expr.source) + size * walk(expr.body)
         if isinstance(expr, ast.Tabulate):
             iterations = 1
             bounds_cost = 0
             for bound in expr.bounds:
-                bounds_cost += self.cost(bound)
+                bounds_cost += walk(bound)
                 extent = self.cards.value_of(bound)
                 iterations *= max(extent, 1) if extent is not None \
                     else assumed
-            return 1 + bounds_cost + iterations * self.cost(expr.body)
+            return 1 + bounds_cost + iterations * walk(expr.body)
         if isinstance(expr, ast.IndexSet):
             size = self.cards.cardinality(expr.expr)
             if size is None:
                 size = assumed
-            return 1 + size + self.cost(expr.expr)
+            return 1 + size + walk(expr.expr)
         if isinstance(expr, ast.Gen):
             extent = self.cards.value_of(expr.expr)
             if extent is None:
                 extent = assumed
-            return 1 + extent + self.cost(expr.expr)
-        return 1 + sum(self.cost(child) for child in expr.children())
+            return 1 + extent + walk(expr.expr)
+        return 1 + sum(walk(child) for child in expr.children())
 
 
 def estimate_cost(expr: ast.Expr, assumed: int = ASSUMED_CARDINALITY) -> int:
     """A unit-cost estimate of evaluating ``expr`` once.
 
-    The historical entry point, kept API-compatible; each call uses a
-    fresh memo so shared-DAG subexpressions are costed once per call
-    instead of once per path (the pre-memo walk was exponential on
-    duplication-heavy trees).
+    The historical entry point, kept API-compatible; shared-DAG
+    subexpressions are costed once per call instead of once per path
+    (the pre-memo walk was exponential on duplication-heavy trees).
     """
     return CostEstimator(assumed=assumed).cost(expr)
 

@@ -43,11 +43,19 @@ _CMP_TOKENS = ("=", "<>", "<", "<=", ">", ">=")
 
 
 class Parser:
-    """Parses a token stream into surface AST."""
+    """Parses a token stream into surface AST.
 
-    def __init__(self, tokens: List[Token]):
+    With ``terminator_optional`` the final statement's ``;`` may be
+    left off: a statement terminator expected at end of input is taken
+    as read.  Anything else parses (and fails) exactly as without it,
+    so an error still points into the source as written.
+    """
+
+    def __init__(self, tokens: List[Token],
+                 terminator_optional: bool = False):
         self.tokens = tokens
         self.pos = 0
+        self.terminator_optional = terminator_optional
 
     # -- token plumbing -------------------------------------------------------
 
@@ -106,14 +114,14 @@ class Parser:
             name = self._expect("binder").text
             self._expect("=")
             expr = self.parse_expr()
-            self._expect(";")
+            self._end_statement()
             return S.ValDecl(name, expr)
         if self._at("kw", "macro"):
             self._advance()
             name = self._expect("binder").text
             self._expect("=")
             expr = self.parse_expr()
-            self._expect(";")
+            self._end_statement()
             return S.MacroDecl(name, expr)
         if self._at("kw", "readval"):
             self._advance()
@@ -122,7 +130,7 @@ class Parser:
             reader = self._expect("ident").text
             self._expect("kw", "at")
             args = self.parse_expr()
-            self._expect(";")
+            self._end_statement()
             return S.ReadVal(name, reader, args)
         if self._at("kw", "writeval"):
             self._advance()
@@ -131,11 +139,16 @@ class Parser:
             writer = self._expect("ident").text
             self._expect("kw", "at")
             args = self.parse_expr()
-            self._expect(";")
+            self._end_statement()
             return S.WriteVal(expr, writer, args)
         expr = self.parse_expr()
-        self._expect(";")
+        self._end_statement()
         return S.Query(expr)
+
+    def _end_statement(self) -> None:
+        if self.terminator_optional and self._peek() is None:
+            return
+        self._expect(";")
 
     # -- expressions -------------------------------------------------------------
 
@@ -511,9 +524,11 @@ def parse_expression(source: str) -> S.SExpr:
     return expr
 
 
-def parse_program(source: str) -> List[S.Statement]:
-    """Parse a sequence of AQL top-level statements."""
-    return Parser(tokenize(source)).parse_program()
+def parse_program(source: str, terminator_optional: bool = False
+                  ) -> List[S.Statement]:
+    """Parse a sequence of AQL top-level statements (the last one's
+    ``;`` may be omitted when ``terminator_optional``)."""
+    return Parser(tokenize(source), terminator_optional).parse_program()
 
 
 __all__ = ["Parser", "parse_expression", "parse_program"]

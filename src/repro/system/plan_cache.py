@@ -39,8 +39,22 @@ Eager invalidation runs through the listener :meth:`PlanCache.on_env_mutation`
 :meth:`PlanCache.lookup` is the backstop that makes stale reuse
 impossible even for mutations performed behind the listener's back.
 
-The cache is LRU-bounded (``capacity`` entries, 0 disables) and fully
-observable: hit/miss/eviction/invalidation counters are surfaced in
+Front memo
+----------
+
+In front of the plan lookup sits a memo from source text to its parsed
+statements (:class:`FrontStatement`), each of which also keeps its
+desugared core and fingerprint once computed.  A repeated text thus
+skips lex, parse, desugar and fingerprinting, and goes straight to the
+validity-checked :meth:`PlanCache.lookup`.  The memo needs no
+invalidation: parsing and desugaring read no environment (fresh binder
+names are global, macros splice in at resolve), so text → statements →
+core → fingerprint is a pure function.  Only the fingerprint is kept;
+the key adds the *current* optimize flag and backend at every probe.
+
+The cache and its front memo are LRU-bounded (``capacity`` entries
+each, 0 disables both) and fully observable: hit/miss/eviction/
+invalidation/front-hit counters are surfaced in
 :class:`~repro.obs.explain.ExplainReport`, ``:profile``, and the REPL's
 ``:cache`` command.  See ``docs/PLAN_CACHE.md``.
 """
@@ -50,7 +64,8 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Optional
+from typing import (Any, Dict, FrozenSet, Hashable, Iterable, Optional,
+                    Sequence, Tuple)
 
 from repro.core import ast
 
@@ -103,6 +118,11 @@ def _fp(expr: ast.Expr, env: Dict[str, int], counter) -> Hashable:
         else:
             children.append(_fp(child, env, counter))
     return (tuple(label), tuple(children))
+
+
+def plan_key(fp: Hashable, optimize: bool, backend: str) -> Hashable:
+    """The cache key: a fingerprint + the pipeline configuration."""
+    return (fp, bool(optimize), backend)
 
 
 def _hashable(value: Any) -> Any:
@@ -162,9 +182,25 @@ class Plan:
     estimated_units: Optional[float] = None
 
 
+class FrontStatement:
+    """One parsed statement of a memoized source text.
+
+    ``core`` (the desugared query expression) and ``fingerprint`` are
+    filled in by the session on first use, for query and ``val``
+    statements; both are pure functions of the statement.
+    """
+
+    __slots__ = ("statement", "core", "fingerprint")
+
+    def __init__(self, statement: Any):
+        self.statement = statement
+        self.core: Optional[ast.Expr] = None
+        self.fingerprint: Optional[Hashable] = None
+
+
 @dataclass
 class PlanCacheStats:
-    """Hit/miss/eviction/invalidation/replan counters, per cache."""
+    """Hit/miss/eviction/invalidation/replan/front-hit counters."""
 
     hits: int = 0
     misses: int = 0
@@ -173,23 +209,17 @@ class PlanCacheStats:
     #: entries recompiled by adaptive re-optimization (observed cost
     #: diverged from the estimate — see ``docs/COST_MODEL.md``)
     replans: int = 0
+    #: source texts served by the front memo (no lex/parse/desugar)
+    front_hits: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         """A JSON-safe snapshot of every counter."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "replans": self.replans,
-        }
+        return dataclasses.asdict(self)
 
     def render(self) -> str:
         """The one-line counter summary used by ``:cache``/``:profile``."""
-        return (f"hits {self.hits}  misses {self.misses}  "
-                f"evictions {self.evictions}  "
-                f"invalidations {self.invalidations}  "
-                f"replans {self.replans}")
+        return "  ".join(f"{name} {value}"
+                         for name, value in self.to_dict().items())
 
 
 class PlanCache:
@@ -205,6 +235,9 @@ class PlanCache:
         self.capacity = capacity
         self.stats = PlanCacheStats()
         self._entries: "OrderedDict[Hashable, PlanEntry]" = OrderedDict()
+        #: the front memo: (source, terminator_optional) → statements
+        self._front: "OrderedDict[Tuple[str, bool], Tuple[FrontStatement, ...]]" \
+            = OrderedDict()
 
     # -- basics -----------------------------------------------------------
 
@@ -219,7 +252,36 @@ class PlanCache:
     @staticmethod
     def key_for(core: ast.Expr, optimize: bool, backend: str) -> Hashable:
         """The cache key: canonical fingerprint + pipeline configuration."""
-        return (fingerprint(core), bool(optimize), backend)
+        return plan_key(fingerprint(core), optimize, backend)
+
+    # -- the front memo ---------------------------------------------------
+
+    def front_lookup(self, source: str, terminator_optional: bool
+                     ) -> Optional[Tuple[FrontStatement, ...]]:
+        """The memoized statements of ``source`` (LRU-touched), or None.
+
+        ``terminator_optional`` is part of the key: a text without its
+        final ``;`` parses for ``query_value`` but must fail for
+        ``run``.
+        """
+        key = (source, terminator_optional)
+        front = self._front.get(key)
+        if front is not None:
+            self._front.move_to_end(key)
+            self.stats.front_hits += 1
+        return front
+
+    def front_insert(self, source: str, terminator_optional: bool,
+                     statements: Sequence[Any]
+                     ) -> Tuple[FrontStatement, ...]:
+        """Wrap freshly parsed ``statements`` and memoize them (when
+        enabled), evicting the least recently used text over capacity."""
+        front = tuple(FrontStatement(statement) for statement in statements)
+        if self.enabled:
+            self._front[(source, terminator_optional)] = front
+            while len(self._front) > self.capacity:
+                self._front.popitem(last=False)
+        return front
 
     # -- lookup / insert --------------------------------------------------
 
@@ -311,19 +373,22 @@ class PlanCache:
         return count
 
     def clear(self) -> None:
-        """Empty the cache without counting invalidations (``:cache clear``)."""
+        """Empty the cache and its front memo without counting
+        invalidations (``:cache clear``)."""
         self._entries.clear()
+        self._front.clear()
 
     # -- reporting --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, int]:
         """Occupancy + counters, JSON-safe (embedded in ExplainReport)."""
         return {"capacity": self.capacity, "entries": len(self._entries),
-                **self.stats.to_dict()}
+                "texts": len(self._front), **self.stats.to_dict()}
 
     def render(self) -> str:
         """The human-readable ``:cache`` text."""
-        return (f"plan cache: {len(self._entries)}/{self.capacity} entries\n"
+        return (f"plan cache: {len(self._entries)}/{self.capacity} entries, "
+                f"{len(self._front)} texts\n"
                 f"{self.stats.render()}")
 
     def __repr__(self) -> str:
@@ -333,9 +398,11 @@ class PlanCache:
 
 __all__ = [
     "DEFAULT_CAPACITY",
+    "FrontStatement",
     "Plan",
     "PlanCache",
     "PlanCacheStats",
     "PlanEntry",
     "fingerprint",
+    "plan_key",
 ]

@@ -10,8 +10,11 @@ with one serving-path refinement: compilation results are memoized in a
 per-session :class:`~repro.system.plan_cache.PlanCache`, so a repeated
 query (the million-user serving path) skips resolve → typecheck →
 optimize — and, on the compiled backend, code generation — and goes
-straight to evaluation.  Environment mutations invalidate affected
-plans (see ``docs/PLAN_CACHE.md``).
+straight to evaluation.  The cache's front memo maps a repeated source
+text to its parsed statements, desugared cores and fingerprints, so
+such a query skips lex, parse, desugar and fingerprinting as well.
+Environment mutations invalidate affected plans (see
+``docs/PLAN_CACHE.md``).
 
 Each statement yields an :class:`Output` that renders exactly like the
 paper's sample session::
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.core import ast
 from repro.core.fastpath import PARALLEL_BACKENDS
@@ -36,7 +39,8 @@ from repro.objects.exchange import pretty
 from repro.surface.desugar import Desugarer
 from repro.surface.parser import parse_program
 from repro.surface import sast as S
-from repro.system.plan_cache import DEFAULT_CAPACITY, Plan, PlanCache
+from repro.system.plan_cache import (DEFAULT_CAPACITY, FrontStatement, Plan,
+                                     PlanCache, plan_key)
 from repro.types.types import Type, TypeScheme, type_of_value
 
 #: the session-level profiling command recognized by :meth:`Session.run`
@@ -203,10 +207,7 @@ class Session:
                 f"unknown command {command!r} (sessions accept AQL "
                 f"statements and the {PROFILE_PREFIX} prefix)"
             )
-        tracer = self.env.obs.tracer
-        with tracer.span("parse"):
-            statements = parse_program(source)
-        return [self.execute(statement) for statement in statements]
+        return [self._execute(item) for item in self._parse(source)]
 
     def run_script(self, source: str, echo: bool = False) -> List[str]:
         """Execute and render each statement (optionally printing)."""
@@ -221,37 +222,48 @@ class Session:
     def query_value(self, source: str) -> Any:
         """Evaluate a single query expression and return its value.
 
-        A missing final ``;`` is forgiven (it is appended and the parse
-        retried), so one-off expressions read naturally.  When the
-        retry fails too, the *original* error is re-raised, so its
-        position refers to the source the caller actually wrote rather
-        than the silently modified retry text.
+        A missing final ``;`` is forgiven, so one-off expressions read
+        naturally: the parser takes a terminator expected at end of
+        input as read.  The source is parsed once, as written, so a
+        parse error's position refers to the text the caller wrote.
         """
-        from repro.errors import ParseError
-
-        try:
-            statements = parse_program(source)
-        except ParseError as original:
-            try:
-                statements = parse_program(source + ";")
-            except ParseError:
-                raise original from None
+        statements = self._parse(source, terminator_optional=True)
         if not statements:
             raise SessionError(
                 "empty source: nothing to evaluate"
             )
-        outputs = [self.execute(statement) for statement in statements]
+        outputs = [self._execute(item) for item in statements]
         last = outputs[-1]
         if not last.has_value:
             raise SessionError("statement did not produce a value")
         return last.value
 
+    def _parse(self, source: str, terminator_optional: bool = False
+               ) -> Tuple[FrontStatement, ...]:
+        """The statements of ``source``, from the plan cache's front memo
+        or freshly parsed (and memoized).  Either way inside the
+        ``parse`` span, annotated ``front_hit`` on a memo hit.  A parse
+        error propagates and is never memoized."""
+        cache, tracer = self.plan_cache, self.env.obs.tracer
+        with tracer.span("parse"):
+            front = cache.front_lookup(source, terminator_optional)
+            if front is not None:
+                tracer.annotate(front_hit=True)
+                return front
+            statements = parse_program(source, terminator_optional)
+            return cache.front_insert(source, terminator_optional,
+                                      statements)
+
     def execute(self, statement: S.Statement) -> Output:
         """Execute one parsed top-level statement."""
+        return self._execute(FrontStatement(statement))
+
+    def _execute(self, item: FrontStatement) -> Output:
+        statement = item.statement
         if isinstance(statement, S.Query):
-            return self._query(statement.expr, "it")
+            return self._query(statement.expr, "it", item)
         if isinstance(statement, S.ValDecl):
-            output = self._query(statement.expr, statement.name)
+            output = self._query(statement.expr, statement.name, item)
             self.env.set_val(statement.name, output.value)
             return output
         if isinstance(statement, S.MacroDecl):
@@ -266,15 +278,18 @@ class Session:
 
     # -- compilation (plan-cache aware) --------------------------------------------
 
-    def prepare(self, core: ast.Expr) -> Plan:
+    def prepare(self, core: ast.Expr,
+                item: Optional[FrontStatement] = None) -> Plan:
         """Compile a core expression into an executable :class:`Plan`,
         consulting the plan cache first.
 
         A hit returns the stored optimized core (plus, on the compiled
         backend, the already-generated closure) without running
         resolve, typecheck, optimize, or codegen; a miss runs the full
-        pipeline and records the result.  Cache keying and invalidation
-        are described in :mod:`repro.system.plan_cache`.
+        pipeline and records the result.  ``item``, the front-memo
+        statement ``core`` came from, supplies (or memoizes) the
+        fingerprint.  Cache keying and invalidation are described in
+        :mod:`repro.system.plan_cache`.
         """
         env, cache = self.env, self.plan_cache
         if not cache.enabled:
@@ -283,7 +298,12 @@ class Session:
                         estimated_units=self._estimate_units(compiled))
         tracer = env.obs.tracer
         with tracer.span("plan_cache"):
-            key = cache.key_for(core, self.optimize, env.backend)
+            if item is not None and item.fingerprint is not None:
+                key = plan_key(item.fingerprint, self.optimize, env.backend)
+            else:
+                key = cache.key_for(core, self.optimize, env.backend)
+                if item is not None:
+                    item.fingerprint = key[0]
             entry = cache.lookup(key, env)
             tracer.annotate(hit=entry is not None, entries=len(cache))
         if entry is not None:
@@ -310,14 +330,20 @@ class Session:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _compile(self, surface: S.SExpr, record: bool = True) -> Plan:
+    def _compile(self, surface: S.SExpr, record: bool = True,
+                 item: Optional[FrontStatement] = None) -> Plan:
         """Desugar + :meth:`prepare`; ``record=False`` leaves
         ``_last_core`` (the EXPLAIN state) untouched, so auxiliary
         expressions — a driver's args — never clobber the statement's
-        query core."""
-        with self.env.obs.tracer.span("desugar"):
-            core = self._desugarer.desugar(surface)
-        plan = self.prepare(core)
+        query core.  ``item`` memoizes the desugared core of a query or
+        ``val`` statement."""
+        core = item.core if item is not None else None
+        if core is None:
+            with self.env.obs.tracer.span("desugar"):
+                core = self._desugarer.desugar(surface)
+            if item is not None:
+                item.core = core
+        plan = self.prepare(core, item)
         if record:
             self._last_core = plan.core
         return plan
@@ -397,8 +423,9 @@ class Session:
         cost.counters["cost_replans"] += 1
         self.plan_cache.stats.replans += 1
 
-    def _query(self, surface: S.SExpr, name: str) -> Output:
-        plan = self._compile(surface)
+    def _query(self, surface: S.SExpr, name: str,
+               item: FrontStatement) -> Output:
+        plan = self._compile(surface, item=item)
         value = self._evaluate(plan)
         return Output("query" if name == "it" else "val", name,
                       str(plan.inferred), value, has_value=True)

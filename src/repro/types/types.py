@@ -223,10 +223,11 @@ def type_of_value(value: Any) -> Type:
     if isinstance(value, Bag):
         return TBag(_elem_type(value.support()))
     if isinstance(value, Array):
-        block = value.block
-        if block is not None and value.size:
-            # dense-backed: the dtype tag *is* the element type — no
-            # need to box the buffer just to inspect its elements
+        block = value.dense_block() if value.size else None
+        if block is not None:
+            # the dtype tag *is* the element type: no per-element walk
+            # and no boxing (an object-backed array is probed once, and
+            # the block cached on it)
             elem = {"int": TNat(), "real": TReal(),
                     "bool": TBool()}[block.tag]
             return TArray(elem, value.rank)

@@ -1,6 +1,8 @@
 """Tests for the heuristic cost model."""
 
+import gc
 import time
+import weakref
 
 from repro.core import ast
 from repro.core.builders import map_array, transpose, zip2
@@ -9,6 +11,7 @@ from repro.objects.bag import Bag
 from repro.optimizer.cost import (ASSUMED_CARDINALITY, CardinalityEstimator,
                                   estimate_cost)
 from repro.optimizer.engine import default_optimizer
+from repro.system.session import Session
 
 N = ast.NatLit
 V = ast.Var
@@ -136,6 +139,31 @@ class TestSharedDagMemo:
         started = time.perf_counter()
         assert estimate_cost(expr) > 0
         assert time.perf_counter() - started < 1.0
+
+
+class _TrackedArray(Array):
+    """An Array that can be weakly referenced (Array itself has slots)."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestEstimateMemoLifetime:
+    def test_rebound_array_is_collectable(self):
+        """The estimate memo must not pin the ``Const`` nodes of plans
+        the session dropped: once ``v`` is rebound (invalidating every
+        plan over it), its old array is garbage."""
+        session = Session()
+        old = _TrackedArray((3,), [1, 2, 3])
+        session.env.set_val("v", old)
+        assert session.query_value("v[1] + 1") == 3
+        assert session.query_value("summap(fn \\i => v[i])!(gen!3)") == 6
+        collected = weakref.ref(old)
+        del old
+        session.env.set_val("v", Array((3,), [4, 5, 6]))
+        assert len(session.plan_cache) == 0
+        assert session.query_value("1 + 1") == 2  # EXPLAIN state moves on
+        gc.collect()
+        assert collected() is None
 
 
 class TestOptimizationReducesCost:

@@ -235,6 +235,27 @@ class TestPoolLifecycle:
             proc.join(2.0)
             assert not proc.is_alive()
 
+    @pytest.mark.slow
+    def test_wedged_worker_shutdown_is_reliable_when_looped(self):
+        """The management thread of a shut-down executor reaps the same
+        workers ``shutdown_pools`` escalates on; liveness must not
+        depend on who wins that ``waitpid`` race.  Looped, because the
+        race only lost a few iterations in ten."""
+        for _ in range(8):
+            pool = parallel._get_pool("process", 2)
+            if pool is None:
+                pytest.skip("no process pool on this platform")
+            pool.submit(_wedge)
+            time.sleep(0.3)
+            procs = list(pool._processes.values())
+            started = time.monotonic()
+            parallel.shutdown_pools(grace=0.5)
+            elapsed = time.monotonic() - started
+            assert elapsed < 0.5 + 3 * parallel.ESCALATION_WAIT + 0.5
+            for proc in procs:
+                assert not proc.is_alive()
+                assert proc.exitcode is not None
+
     def test_killed_workers_fall_back_to_serial_and_recover(self):
         """Workers dying mid-dispatch break the pool: the construct
         falls back to the serial loop (serial-identical result and

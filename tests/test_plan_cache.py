@@ -173,7 +173,7 @@ class TestSessionCaching:
         session.query_value("1 + 1;")
         assert session.plan_cache.stats.to_dict() == {
             "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0,
-            "replans": 0}
+            "replans": 0, "front_hits": 0}
 
     def test_lru_bound_respected_end_to_end(self):
         session = Session(plan_cache_capacity=2)

@@ -1,8 +1,11 @@
 """Tests for the type language and unification (Figure 1 types)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import UnificationError
+from repro.objects import dense
 from repro.objects.array import Array
 from repro.objects.bag import Bag
 from repro.types.types import (
@@ -180,3 +183,57 @@ class TestTypeOfValue:
         assert isinstance(t, TSet)
         assert isinstance(t.elem, TSet)
         assert isinstance(t.elem.elem, TSet)  # {α} ~ {{β}} gives {{β}}
+
+
+# element strategies per dense kind, with the element type the walk gives
+_DENSE_KINDS = {
+    "int": (st.integers(min_value=-(2 ** 40), max_value=2 ** 40), TNat),
+    "real": (st.floats(allow_nan=False, width=64), TReal),
+    "bool": (st.booleans(), TBool),
+}
+
+
+class TestArrayTypingFromDenseTag:
+    """``type_of_value`` reads an Array's element type from its dense
+    tag (probing once, cached on the array) and agrees with the element
+    walk on every backing; arrays the probe declines keep the walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_DENSE_KINDS)),
+           st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                    max_size=3),
+           st.data())
+    def test_agrees_with_element_walk(self, kind, dims, data):
+        strategy, elem = _DENSE_KINDS[kind]
+        size = 1
+        for d in dims:
+            size *= d
+        values = data.draw(st.lists(strategy, min_size=size, max_size=size))
+        expected = TArray(elem(), len(dims))
+        boxed = Array(dims, values)
+        assert type_of_value(boxed) == expected
+        assert type_of_value(boxed) == expected  # from the cached probe
+        block = dense.probe_block(tuple(values), tuple(dims))
+        if block is not None:
+            assert type_of_value(Array(dims, block.data)) == expected
+
+    def test_out_of_guard_ints_take_the_walk(self):
+        arr = Array((2,), [2 ** 62 + 1, 3])
+        assert arr.dense_block() is None
+        assert type_of_value(arr) == TArray(TNat(), 1)
+
+    def test_mixed_kinds_still_fail_to_unify(self):
+        with pytest.raises(UnificationError):
+            type_of_value(Array((2,), [1, True]))
+
+    def test_non_scalar_elements_take_the_walk(self):
+        arr = Array((2,), [frozenset({1}), frozenset()])
+        assert type_of_value(arr) == TArray(TSet(TNat()), 1)
+
+    @pytest.mark.parametrize("dims", [(0,), (2, 0)])
+    def test_empty_arrays_get_fresh_type_variables(self, dims):
+        first = type_of_value(Array(dims, []))
+        second = type_of_value(Array(dims, []))
+        assert isinstance(first, TArray) and first.rank == len(dims)
+        assert first.elem.__class__.__name__ == "TVar"
+        assert first.elem != second.elem
